@@ -11,10 +11,11 @@ bool CanonicalBefore(const CrossShardEvent& a, const CrossShardEvent& b) {
          std::tie(b.time, b.src_tile, b.node, b.seq);
 }
 
-void CanonicalSort(std::vector<CrossShardEvent>& events) {
-  // Stable: events are collected in deterministic tile order, so a key
-  // tie (possible only across kinds) falls back to collection order.
-  std::stable_sort(events.begin(), events.end(), CanonicalBefore);
+void CanonicalSort(std::vector<const CrossShardEvent*>& events) {
+  std::sort(events.begin(), events.end(),
+            [](const CrossShardEvent* a, const CrossShardEvent* b) {
+              return CanonicalBefore(*a, *b);
+            });
 }
 
 bool EnergyCrossesBoundary(const PropagationModel& prop, Dbm tx_power,
@@ -25,15 +26,13 @@ bool EnergyCrossesBoundary(const PropagationModel& prop, Dbm tx_power,
 }
 
 void ShardOutbox::Push(CrossShardEvent event) {
-  event.src_tile = src_tile_;
-  event.seq = next_seq_++;
+  Stamp(event);
   events_.push_back(std::move(event));
 }
 
-std::vector<CrossShardEvent> ShardOutbox::Take() {
-  std::vector<CrossShardEvent> out;
-  out.swap(events_);
-  return out;
+void ShardOutbox::Stamp(CrossShardEvent& event) {
+  event.src_tile = src_tile_;
+  event.seq = next_seq_++;
 }
 
 }  // namespace whitefi::shard

@@ -2,13 +2,14 @@
 //
 // During a round each tile's world runs alone on its thread; everything
 // that must cross a tile seam is recorded in the owning tile's outbox as
-// a timestamped CrossShardEvent.  At the barrier the engine drains every
-// outbox serially, sorts the union into the canonical order
-// (time, src_tile, node, seq) and applies each event at the receiving
-// tile's next horizon tick.  Because the partition, the horizon and the
+// a timestamped CrossShardEvent.  At the barrier every receiving tile
+// gathers the events addressed to it, sorts them into the canonical order
+// (time, src_tile, node, seq) and applies them at its horizon tick.  The
+// canonical key is unique, so each tile's sequence is the global order
+// restricted to that tile.  Because the partition, the horizon and the
 // canonical order are all functions of the scenario — never of the shard
-// count — any `--shards N` run applies the identical event sequence and
-// the federation is byte-identical to the serial run.
+// count — any `--shards N` run applies the identical event sequence in
+// every tile and the federation is byte-identical to the serial run.
 //
 // Two event kinds cross a seam:
 //  * RemoteEnergy — a completed local transmission whose received power
@@ -65,8 +66,9 @@ struct CrossShardEvent {
 /// over events from one run because `seq` is unique per (src_tile).
 bool CanonicalBefore(const CrossShardEvent& a, const CrossShardEvent& b);
 
-/// Sorts `events` into the canonical order.
-void CanonicalSort(std::vector<CrossShardEvent>& events);
+/// Sorts a tile's inbox (pointers into the outboxes) into the canonical
+/// order.  Keys are unique, so no tie-break is needed.
+void CanonicalSort(std::vector<const CrossShardEvent*>& events);
 
 /// True iff energy from a transmitter at `from` with `tx_power` reaches
 /// the carrier-sense floor anywhere inside `dst` — evaluated at the
@@ -78,7 +80,8 @@ bool EnergyCrossesBoundary(const PropagationModel& prop, Dbm tx_power,
                            Dbm floor_dbm);
 
 /// Single-writer per-tile event staging.  The owning tile's thread pushes
-/// during its round; the engine drains at the barrier (serially).
+/// during its round; at the barrier the receiving tiles read the staged
+/// events in place (read-only, concurrently), then the engine clears it.
 class ShardOutbox {
  public:
   explicit ShardOutbox(int src_tile) : src_tile_(src_tile) {}
@@ -86,8 +89,16 @@ class ShardOutbox {
   /// Stamps src_tile and the next sequence number, then stores the event.
   void Push(CrossShardEvent event);
 
-  /// Moves out everything staged since the last Take.
-  std::vector<CrossShardEvent> Take();
+  /// Stamps src_tile and the next sequence number without storing: for
+  /// events staged elsewhere that share this tile's sequence stream.
+  void Stamp(CrossShardEvent& event);
+
+  /// Everything staged since the last Clear, in push order.
+  const std::vector<CrossShardEvent>& events() const { return events_; }
+
+  /// Drops the staged events, keeping the buffer's capacity.  The
+  /// sequence stream keeps counting: seqs never repeat.
+  void Clear() { events_.clear(); }
 
   int src_tile() const { return src_tile_; }
 

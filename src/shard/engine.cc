@@ -12,9 +12,13 @@ namespace whitefi::shard {
 
 ShardEngine::ShardEngine(const CityParams& city,
                          const ShardEngineConfig& config)
+    : ShardEngine(city, GenerateCity(city, config.medium), config) {}
+
+ShardEngine::ShardEngine(const CityParams& city, CityLayout layout,
+                         const ShardEngineConfig& config)
     : city_(city),
       config_(config),
-      layout_(GenerateCity(city, config.medium)),
+      layout_(std::move(layout)),
       prop_(config.medium.propagation) {
   if (config_.shards < 1) {
     throw std::invalid_argument("shard count must be >= 1");
@@ -30,6 +34,7 @@ ShardEngine::ShardEngine(const CityParams& city,
   tiles_.reserve(static_cast<std::size_t>(num_tiles));
   for (int i = 0; i < num_tiles; ++i) {
     tiles_.push_back(std::make_unique<Tile>(i));
+    tiles_.back()->sources = layout_.partition.Neighbors(i);
     BuildTile(*tiles_.back(), city_);
   }
   pool_ = std::make_unique<ThreadPool>(config_.shards);
@@ -182,9 +187,10 @@ void ShardEngine::Run(double seconds) {
 }
 
 void ShardEngine::ExchangeAndApply(SimTime target) {
-  // Scripted roams that fell due this round enter through their source
-  // tile's outbox, sharing its sequence stream with the energy events —
-  // the canonical key (time, src_tile, node, seq) is then unique.
+  // Scripted roams that fell due this round take their key from their
+  // source tile's sequence stream, after its energy events — the
+  // canonical key (time, src_tile, node, seq) is then unique.
+  roams_due_.clear();
   while (roam_cursor_ < layout_.roams.size() &&
          layout_.roams[roam_cursor_].at <= target) {
     const RoamPlan& plan = layout_.roams[roam_cursor_];
@@ -203,45 +209,71 @@ void ShardEngine::ExchangeAndApply(SimTime target) {
     event.from_cell = plan.from_cell;
     event.to_cell = plan.to_cell;
     event.client_slot = plan.client_slot;
-    tiles_[static_cast<std::size_t>(src_tile)]->outbox.Push(std::move(event));
+    tiles_[static_cast<std::size_t>(src_tile)]->outbox.Stamp(event);
+    roams_due_.push_back(std::move(event));
     ++roam_cursor_;
   }
 
-  std::vector<CrossShardEvent> events;
-  for (auto& tile : tiles_) {
-    std::vector<CrossShardEvent> taken = tile->outbox.Take();
-    events.insert(events.end(), std::make_move_iterator(taken.begin()),
-                  std::make_move_iterator(taken.end()));
-  }
-  CanonicalSort(events);
-  messages_shipped_ += events.size();
+  pool_->Run(tiles_.size(), [&](std::size_t i) { ApplyInbound(*tiles_[i]); });
 
-  for (const CrossShardEvent& event : events) {
-    if (event.kind == CrossShardEvent::Kind::kRemoteEnergy) {
-      ApplyRemoteEnergy(event);
-    } else {
-      ApplyRoam(event);
+  messages_shipped_ += roams_due_.size();
+  for (auto& tile : tiles_) {
+    messages_shipped_ += tile->outbox.events().size();
+    tile->outbox.Clear();
+    ghosts_injected_ += tile->ghosts_applied;
+    roams_applied_ += tile->roams_applied;
+  }
+}
+
+void ShardEngine::ApplyInbound(Tile& tile) {
+  // The canonical order restricted to this tile: every event that touches
+  // it, and nothing else.  Outbox events all carry ghost energy (roams are
+  // staged apart), and only the 8-neighborhood ships energy here.
+  std::vector<const CrossShardEvent*>& inbox = tile.inbox;
+  inbox.clear();
+  for (const int src : tile.sources) {
+    for (const CrossShardEvent& event :
+         tiles_[static_cast<std::size_t>(src)]->outbox.events()) {
+      if (event.dst_tile == tile.index) inbox.push_back(&event);
+    }
+  }
+  for (const CrossShardEvent& event : roams_due_) {
+    if (event.src_tile == tile.index || event.dst_tile == tile.index) {
+      inbox.push_back(&event);
+    }
+  }
+  CanonicalSort(inbox);
+
+  tile.ghosts_applied = 0;
+  tile.roams_applied = 0;
+  Medium& medium = tile.world->medium();
+  for (const CrossShardEvent* event : inbox) {
+    if (event->kind == CrossShardEvent::Kind::kRemoteEnergy) {
+      // Applied at the receiving tile's horizon tick (sim time ==
+      // target); the ghost keeps its full original duration.
+      medium.InjectForeignEnergy(event->node, event->is_ap, event->position,
+                                 event->channel, event->frame,
+                                 event->tx_power, event->duration);
+      ++tile.ghosts_applied;
+      continue;
+    }
+    // An intra-tile roam departs and arrives here, in that order.
+    if (event->src_tile == tile.index) DepartRoam(*event);
+    if (event->dst_tile == tile.index) {
+      ArriveRoam(*event, tile);
+      ++tile.roams_applied;
     }
   }
 }
 
-void ShardEngine::ApplyRemoteEnergy(const CrossShardEvent& event) {
-  World& world = *tiles_[static_cast<std::size_t>(event.dst_tile)]->world;
-  // Applied at the receiving tile's horizon tick (sim time == target);
-  // the ghost keeps its full original duration.
-  world.medium().InjectForeignEnergy(event.node, event.is_ap, event.position,
-                                     event.channel, event.frame,
-                                     event.tx_power, event.duration);
-  ++ghosts_injected_;
-}
-
-void ShardEngine::ApplyRoam(const CrossShardEvent& event) {
+void ShardEngine::DepartRoam(const CrossShardEvent& event) {
   CellRuntime& from = RuntimeOf(event.from_cell);
   const auto slot = static_cast<std::size_t>(event.client_slot);
   if (slot < from.cbr.size()) from.cbr[slot]->SetActive(false);
+}
 
+void ShardEngine::ArriveRoam(const CrossShardEvent& event, Tile& tile) {
   CellRuntime& to = RuntimeOf(event.to_cell);
-  Tile& tile = *tiles_[static_cast<std::size_t>(event.dst_tile)];
   const CellPlan& plan = layout_.cells[static_cast<std::size_t>(event.to_cell)];
 
   DeviceConfig cfg;
@@ -265,7 +297,6 @@ void ShardEngine::ApplyRoam(const CrossShardEvent& event) {
   if (to.auditor != nullptr) {
     to.auditor->RegisterClient(client.NodeId(), client_params);
   }
-  ++roams_applied_;
 }
 
 ShardEngine::CellRuntime& ShardEngine::RuntimeOf(int cell) {

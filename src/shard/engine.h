@@ -7,12 +7,17 @@
 //            pool slot; a tile touches only its own world, its own
 //            metrics registry and its own outbox, so rounds share no
 //            mutable state.
-//   barrier: the engine (serially) drains every outbox in tile order,
-//            appends the scripted roams that fell due, sorts the union
-//            into the canonical (time, src_tile, node, seq) order and
-//            applies each event at the receiving tile's horizon tick —
-//            ghost energy via Medium::InjectForeignEnergy, roams as
-//            session handoffs.
+//   barrier: the engine stages the scripted roams that fell due, then
+//            runs one pool task per tile.  Each task gathers the events
+//            addressed to its tile — ghost energy from its neighbors'
+//            outboxes, read in place, plus the roams arriving at or
+//            departing from it — sorts them into the canonical
+//            (time, src_tile, node, seq) order and applies them at its
+//            horizon tick: ghosts via Medium::InjectForeignEnergy, a
+//            roam's departure (the origin tile) and arrival (the
+//            destination tile) as session handoffs.  A task writes only
+//            its own tile; the outboxes are cleared after the pool
+//            returns.
 //
 // Determinism: the partition, the horizon, the canonical order and every
 // per-tile seed derive from the scenario alone.  `shards` only sets the
@@ -66,6 +71,11 @@ class ShardEngine {
   /// std::invalid_argument on bad parameters (shards < 1, city
   /// validation failures, tile edge below the cutoff).
   ShardEngine(const CityParams& city, const ShardEngineConfig& config);
+  /// Builds the federation over a given layout (GenerateCity's output,
+  /// possibly with edited roams, kept sorted by `at`); `city` still
+  /// supplies the traffic shape, power and seed.
+  ShardEngine(const CityParams& city, CityLayout layout,
+              const ShardEngineConfig& config);
   ~ShardEngine();
 
   ShardEngine(const ShardEngine&) = delete;
@@ -137,6 +147,15 @@ class ShardEngine {
     std::unique_ptr<World> world;
     ShardOutbox outbox;
     std::vector<CellRuntime> cells;
+    /// Tiles whose outboxes can hold ghost energy for this one (its
+    /// 8-neighborhood; fixed by the partition).
+    std::vector<int> sources;
+    /// The barrier's canonically sorted events for this tile (pointers
+    /// into the outboxes and roams_due_); capacity reused across rounds.
+    std::vector<const CrossShardEvent*> inbox;
+    /// Applied at the last barrier; summed by the engine after the pool.
+    std::uint64_t ghosts_applied = 0;
+    std::uint64_t roams_applied = 0;
 
     explicit Tile(int i) : index(i), outbox(i) {}
   };
@@ -150,8 +169,12 @@ class ShardEngine {
   void BuildTile(Tile& tile, const CityParams& city);
   void OnLocalEnergy(int tile, const Medium::EnergyTapInfo& info);
   void ExchangeAndApply(SimTime target);
-  void ApplyRemoteEnergy(const CrossShardEvent& event);
-  void ApplyRoam(const CrossShardEvent& event);
+  /// One tile's share of the barrier; runs on a pool thread.
+  void ApplyInbound(Tile& tile);
+  /// Pauses the roaming client's traffic in its origin tile.
+  void DepartRoam(const CrossShardEvent& event);
+  /// Brings the session up in the destination tile.
+  void ArriveRoam(const CrossShardEvent& event, Tile& tile);
   CellRuntime& RuntimeOf(int cell);
   const CellRuntime& RuntimeOf(int cell) const;
 
@@ -165,6 +188,10 @@ class ShardEngine {
   std::vector<std::unique_ptr<Tile>> tiles_;
   std::vector<CellRef> cell_refs_;
   std::unique_ptr<ThreadPool> pool_;
+  /// Roams due at the current barrier, stamped by their origin tile's
+  /// outbox.  Kept apart from the outboxes: a roam may stay inside its
+  /// tile or land on a non-neighbor, where no neighbor scan would see it.
+  std::vector<CrossShardEvent> roams_due_;
 
   SimTime now_ = 0;
   std::uint64_t rounds_ = 0;

@@ -30,6 +30,7 @@
 //    output deterministic.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <cstddef>
@@ -242,6 +243,11 @@ class Simulator {
   /// the total number of schedules or cancellations — pinned by test.
   std::size_t ArenaSlots() const { return chunks_.size() * kChunkSize; }
 
+  /// Bucket entries the wheel holds capacity for, spare buffers included.
+  /// Per coarse level, bounded by the buckets occupied at once times the
+  /// largest bucket, never by how long the run lasts — pinned by test.
+  std::size_t BucketCapacity() const;
+
  private:
   static constexpr std::uint32_t kChunkShift = 8;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
@@ -321,6 +327,13 @@ class Simulator {
   bool stopped_ = false;
 
   std::vector<std::vector<Entry>> buckets_;  ///< kNumBuckets vectors.
+  /// Per coarse level (level 0 stays empty), the buffers of cascaded
+  /// buckets, handed to the next capacity-less bucket of that level that
+  /// receives an entry.  Capacity then follows the buckets occupied at
+  /// once instead of accumulating in every bucket a long run has touched,
+  /// steady state stays allocation-free, and per-level stacks keep a
+  /// level-2 bucket's large buffer from drifting into level-1 buckets.
+  std::array<std::vector<std::vector<Entry>>, kNumLevels> spare_;
   std::uint64_t occ_[kNumLevels][kBucketsPerLevel / 64] = {};
   /// Tick bucket currently being drained (kNoIndex when none); its entries
   /// up to drain_pos_ have fired, and cancellations inside it dead-mark in

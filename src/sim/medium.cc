@@ -108,18 +108,20 @@ void Medium::StartTransmission(RadioPort* tx, const Channel& channel,
   // frame spans can overlap it.  Each is visited once (at the first spanned
   // channel inside our range); the collected ids are sorted so the
   // interference sums accumulate in the same ascending-id order as the
-  // full-scan implementation this replaces.
+  // full-scan implementation this replaces.  Only local transmissions keep
+  // a list: a ghost's is never read (ResolveReceptions skips ghosts).
   const auto lo = static_cast<std::size_t>(channel.Low());
   const auto hi = static_cast<std::size_t>(channel.High());
   for (std::size_t c = lo; c <= hi; ++c) {
     for (ActiveTx* other : channel_txs_[c]) {
       const auto other_lo = static_cast<std::size_t>(other->channel.Low());
       if (std::max(other_lo, lo) != c) continue;  // Seen at an earlier c.
-      other->interferers.push_back(id);
-      record.interferers.push_back(other->id);
+      if (!other->foreign) other->interferers.push_back(id);
+      if (!foreign) record.interferers.push_back(other->id);
     }
   }
   std::sort(record.interferers.begin(), record.interferers.end());
+  longest_airtime_ = std::max(longest_airtime_, duration);
   for (std::size_t c = lo; c <= hi; ++c) {
     AccrueChannel(c);
     ++active_count_[c];
@@ -175,11 +177,13 @@ void Medium::EndTransmission(std::uint64_t tx_id,
     ended_order_.clear();
   } else {
     // Bounded GC for continuously-busy workloads: an entry can only be
-    // referenced by an active transmission that overlapped it in time, and
-    // no frame lasts anywhere near a second, so older entries are dead.
-    // ended_order_ is end-time-ordered, so only the expired prefix is
-    // examined — one comparison when nothing is old enough.
-    const SimTime horizon = sim_.Now() - kTicksPerSec;
+    // referenced by an active transmission that overlapped it in time.
+    // Such a transmission started no earlier than now - longest_airtime_
+    // and overlapped the entry, so the entry ended at or after that
+    // instant; anything that ended before it is dead.  ended_order_ is
+    // end-time-ordered, so only the expired prefix is examined — one
+    // comparison when nothing is old enough.
+    const SimTime horizon = sim_.Now() - longest_airtime_;
     while (!ended_order_.empty()) {
       const auto it = recently_ended_.find(ended_order_.front());
       if (it == recently_ended_.end()) {  // Dropped by a bulk clear.

@@ -225,6 +225,7 @@ class Medium {
     SimTime start;
     SimTime end;
     /// Transmissions that overlapped this one in time AND spectrum.
+    /// Always empty for ghosts, whose receptions are never resolved here.
     std::vector<std::uint64_t> interferers;
     /// Cross-shard ghost energy: sensed and booked, never delivered.
     bool foreign = false;
@@ -275,6 +276,9 @@ class Medium {
   /// at each transmission's end time, so this is end-time order and GC only
   /// ever has to examine the expired prefix instead of the whole map.
   std::deque<std::uint64_t> ended_order_;
+  /// Longest duration of any transmission started so far: the exact
+  /// history horizon for recently_ended_.
+  SimTime longest_airtime_ = 0;
   std::uint64_t next_tx_id_ = 1;
 
   /// Per-UHF-channel index of active transmissions: a transmission spanning

@@ -17,11 +17,12 @@ const char* LevelName(LogLevel level) {
   return "?????";
 }
 
-// The installed simulated-time source and its owner token.  Single global:
-// scenario code runs worlds sequentially, and the owner check keeps a
-// dying world from clearing a newer world's source.
-const void* g_time_owner = nullptr;
-std::function<double()> g_time_source;
+// The installed simulated-time source and its owner token, per thread:
+// parallel trials build worlds on several threads at once, and each
+// thread's log lines carry the time of the world it built last.  The
+// owner check keeps a dying world from clearing a newer world's source.
+thread_local const void* g_time_owner = nullptr;
+thread_local std::function<double()> g_time_source;
 
 }  // namespace
 

@@ -43,13 +43,14 @@ inline bool LogEnabled(LogLevel level) {
          internal::g_log_level.load(std::memory_order_relaxed);
 }
 
-/// Installs a simulated-time source: every subsequent log line is stamped
-/// with `now_seconds()`.  `owner` is an opaque token so a World being
-/// destroyed only clears the source it installed itself (scenario harness
-/// code creates worlds back to back).
+/// Installs a simulated-time source for the calling thread: its
+/// subsequent log lines are stamped with `now_seconds()`.  `owner` is an
+/// opaque token so a World being destroyed only clears the source it
+/// installed itself (scenario harness code creates worlds back to back);
+/// the owner must clear it on the thread that installed it.
 void SetLogTimeSource(const void* owner, std::function<double()> now_seconds);
 
-/// Clears the time source iff `owner` installed the current one.
+/// Clears the calling thread's time source iff `owner` installed it.
 void ClearLogTimeSource(const void* owner);
 
 /// Emits one line to stderr if `level` passes the global filter; `tag` (a

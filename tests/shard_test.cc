@@ -5,12 +5,14 @@
 // byte-identical science at every shard count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "shard/boundary.h"
 #include "shard/city.h"
 #include "shard/engine.h"
@@ -110,7 +112,6 @@ TEST(BoundaryTest, EnergyExactlyAtTheFloorCrosses) {
 }
 
 TEST(BoundaryTest, CanonicalOrderIsTimeTileNodeSeq) {
-  std::vector<CrossShardEvent> events;
   auto make = [](SimTime t, int tile, int node, std::uint64_t seq) {
     CrossShardEvent e;
     e.time = t;
@@ -119,15 +120,16 @@ TEST(BoundaryTest, CanonicalOrderIsTimeTileNodeSeq) {
     e.seq = seq;
     return e;
   };
-  events.push_back(make(200, 0, 5, 0));
-  events.push_back(make(100, 1, 9, 3));
-  events.push_back(make(100, 0, 9, 2));
-  events.push_back(make(100, 0, 3, 7));
+  const std::vector<CrossShardEvent> storage = {
+      make(200, 0, 5, 0), make(100, 1, 9, 3), make(100, 0, 9, 2),
+      make(100, 0, 3, 7)};
+  std::vector<const CrossShardEvent*> events;
+  for (const CrossShardEvent& e : storage) events.push_back(&e);
   CanonicalSort(events);
-  EXPECT_EQ(events[0].node, 3);   // (100, 0, 3, 7)
-  EXPECT_EQ(events[1].seq, 2u);   // (100, 0, 9, 2)
-  EXPECT_EQ(events[2].src_tile, 1);
-  EXPECT_EQ(events[3].time, 200);
+  EXPECT_EQ(events[0]->node, 3);   // (100, 0, 3, 7)
+  EXPECT_EQ(events[1]->seq, 2u);   // (100, 0, 9, 2)
+  EXPECT_EQ(events[2]->src_tile, 1);
+  EXPECT_EQ(events[3]->time, 200);
 }
 
 TEST(BoundaryTest, OutboxStampsTileAndMonotonicSeq) {
@@ -136,15 +138,25 @@ TEST(BoundaryTest, OutboxStampsTileAndMonotonicSeq) {
   e.kind = CrossShardEvent::Kind::kRemoteEnergy;
   outbox.Push(e);
   outbox.Push(e);
-  const std::vector<CrossShardEvent> taken = outbox.Take();
-  ASSERT_EQ(taken.size(), 2u);
-  EXPECT_EQ(taken[0].src_tile, 7);
-  EXPECT_EQ(taken[0].seq, 0u);
-  EXPECT_EQ(taken[1].seq, 1u);
-  EXPECT_TRUE(outbox.Take().empty());
-  // The stream keeps counting across Take calls — seqs never repeat.
+  ASSERT_EQ(outbox.events().size(), 2u);
+  EXPECT_EQ(outbox.events()[0].src_tile, 7);
+  EXPECT_EQ(outbox.events()[0].seq, 0u);
+  EXPECT_EQ(outbox.events()[1].seq, 1u);
+  const std::size_t capacity = outbox.events().capacity();
+  outbox.Clear();
+  EXPECT_TRUE(outbox.events().empty());
+  // Clear keeps the buffer: the barrier reuses it round after round.
+  EXPECT_EQ(outbox.events().capacity(), capacity);
+  // The stream keeps counting across Clear calls — seqs never repeat,
+  // including for events stamped but staged elsewhere (roams).
+  CrossShardEvent roam;
+  roam.kind = CrossShardEvent::Kind::kRoam;
+  outbox.Stamp(roam);
+  EXPECT_EQ(roam.src_tile, 7);
+  EXPECT_EQ(roam.seq, 2u);
+  EXPECT_TRUE(outbox.events().empty());
   outbox.Push(e);
-  EXPECT_EQ(outbox.Take()[0].seq, 2u);
+  EXPECT_EQ(outbox.events()[0].seq, 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -258,6 +270,78 @@ TEST(GhostEnergyTest, PerChannelBooksMatchTheFullSnapshotBitForBit) {
   }
 }
 
+TEST(GhostEnergyTest, OverlappingGhostsPinALocalReceptionAtTheThreshold) {
+  // A local frame whose receiver sits between two ghosts: one injected
+  // before the frame starts, one while it is on the air (and overlapping
+  // the first).  Each ghost alone leaves the SINR ~2.5 dB above the
+  // decode threshold; together they push it ~0.5 dB below.  A ghost keeps
+  // no interferer list of its own, but both must land in the local
+  // frame's list, or the drop turns into a delivery.
+  const MediumParams params;
+  const PropagationModel prop(params.propagation);
+  const Channel ch{10, ChannelWidth::kW5};
+  const Position tx_pos{0.0, 0.0};
+  const Position rx_pos{200.0, 0.0};
+  const Position g1_pos{200.0, 1500.0};
+  const Position g2_pos{200.0, -1500.0};
+  const Dbm signal = prop.ReceivedPower(16.0, tx_pos, rx_pos);
+  // Each ghost arrives 10*log10(71.6) dB under the signal.
+  const Dbm ghost_at_rx = signal - 10.0 * std::log10(71.6);
+  const Dbm ghost_power = ghost_at_rx + 16.0 - prop.ReceivedPower(16.0, 1500.0);
+
+  struct Outcome {
+    std::size_t delivered;
+    std::uint64_t drops;
+    ChannelBooks books;
+  };
+  const auto run = [&](bool early_ghost, bool late_ghost) {
+    Simulator sim;
+    Medium medium(sim, params);
+    MetricsRegistry metrics;
+    Observability obs;
+    obs.metrics = &metrics;
+    medium.SetObservability(obs);
+    GhostRadio tx(1, tx_pos, ch), rx(2, rx_pos, ch);
+    medium.Register(&tx);
+    medium.Register(&rx);
+    Frame f;
+    f.type = FrameType::kData;
+    f.src = 1;
+    f.dst = 2;
+    f.bytes = 300;
+    if (early_ghost) {
+      medium.InjectForeignEnergy(900001, false, g1_pos, ch, f, ghost_power,
+                                 1000);
+    }
+    sim.Schedule(100, [&] { medium.Transmit(&tx, ch, f, 16.0, 500, [] {}); });
+    if (late_ghost) {
+      sim.Schedule(300, [&] {
+        medium.InjectForeignEnergy(900002, true, g2_pos, ch, f, ghost_power,
+                                   1000);
+      });
+    }
+    sim.Run(2000);
+    return Outcome{rx.delivered.size(),
+                   metrics.GetCounter("whitefi.medium.drop.Data").value(),
+                   medium.ChannelBooksAt(10)};
+  };
+
+  const Outcome both = run(true, true);
+  EXPECT_EQ(both.delivered, 0u);
+  EXPECT_EQ(both.drops, 1u);
+  // Books: the union [0, 1300) and each transmitter's full airtime.
+  EXPECT_EQ(both.books.busy, 1300.0);
+  EXPECT_EQ(both.books.per_node,
+            (std::map<int, Us>{{1, 500.0}, {900001, 1000.0}, {900002, 1000.0}}));
+
+  for (const auto& [early, late] :
+       {std::pair{true, false}, std::pair{false, true}, std::pair{false, false}}) {
+    const Outcome one = run(early, late);
+    EXPECT_EQ(one.delivered, 1u) << "early " << early << " late " << late;
+    EXPECT_EQ(one.drops, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // City generation.
 
@@ -328,6 +412,35 @@ CityParams SmallCity() {
   return params;
 }
 
+/// Asserts that two engines produced the same science: summary, merged
+/// counters, trace totals and every tile's events and airtime books.
+void ExpectSameScience(ShardEngine& ref, ShardEngine& other) {
+  // The whole deterministic summary, byte for byte.
+  EXPECT_EQ(ref.SummaryText(), other.SummaryText()) << "shards differ";
+  // Merged metrics: every counter, exact.
+  EXPECT_EQ(ref.MergedCounters(), other.MergedCounters());
+  // Exact trace record counts (TotalSeen is cap-independent).
+  EXPECT_EQ(ref.TraceTotal(), other.TraceTotal());
+  EXPECT_EQ(ref.EventsProcessed(), other.EventsProcessed());
+  EXPECT_EQ(ref.messages_shipped(), other.messages_shipped());
+  // Airtime books bit-equal in every tile world: the union busy time
+  // and every per-node entry, ghosts included.
+  ASSERT_EQ(ref.NumTiles(), other.NumTiles());
+  for (int t = 0; t < ref.NumTiles(); ++t) {
+    EXPECT_EQ(ref.tile_world(t).sim().NumProcessed(),
+              other.tile_world(t).sim().NumProcessed())
+        << "tile " << t;
+    const AirtimeBooks a = ref.tile_world(t).medium().SnapshotBooks();
+    const AirtimeBooks b = other.tile_world(t).medium().SnapshotBooks();
+    for (UhfIndex c = 0; c < kNumUhfChannels; ++c) {
+      const auto ci = static_cast<std::size_t>(c);
+      EXPECT_EQ(a[ci].busy, b[ci].busy) << "tile " << t << " ch " << c;
+      EXPECT_EQ(a[ci].per_node, b[ci].per_node)
+          << "tile " << t << " ch " << c;
+    }
+  }
+}
+
 TEST(ShardEngineTest, SummariesAndBooksAreInvariantAcrossShardCounts) {
   const CityParams city = SmallCity();
   ShardEngineConfig config;
@@ -343,28 +456,83 @@ TEST(ShardEngineTest, SummariesAndBooksAreInvariantAcrossShardCounts) {
   EXPECT_GT(ref.ghosts_injected(), 0u);
   EXPECT_EQ(ref.roams_applied(), 2u);
   for (std::size_t i = 1; i < engines.size(); ++i) {
-    ShardEngine& other = *engines[i];
-    // The whole deterministic summary, byte for byte.
-    EXPECT_EQ(ref.SummaryText(), other.SummaryText()) << "shards differ";
-    // Merged metrics: every counter, exact.
-    EXPECT_EQ(ref.MergedCounters(), other.MergedCounters());
-    // Exact trace record counts (TotalSeen is cap-independent).
-    EXPECT_EQ(ref.TraceTotal(), other.TraceTotal());
-    EXPECT_EQ(ref.EventsProcessed(), other.EventsProcessed());
-    EXPECT_EQ(ref.messages_shipped(), other.messages_shipped());
-    // Airtime books bit-equal in every tile world: the union busy time
-    // and every per-node entry, ghosts included.
-    ASSERT_EQ(ref.NumTiles(), other.NumTiles());
-    for (int t = 0; t < ref.NumTiles(); ++t) {
-      const AirtimeBooks a = ref.tile_world(t).medium().SnapshotBooks();
-      const AirtimeBooks b = other.tile_world(t).medium().SnapshotBooks();
-      for (UhfIndex c = 0; c < kNumUhfChannels; ++c) {
-        const auto ci = static_cast<std::size_t>(c);
-        EXPECT_EQ(a[ci].busy, b[ci].busy) << "tile " << t << " ch " << c;
-        EXPECT_EQ(a[ci].per_node, b[ci].per_node)
-            << "tile " << t << " ch " << c;
+    ExpectSameScience(ref, *engines[i]);
+  }
+}
+
+TEST(ShardEngineTest, MixedBarrierOnOneTileIsInvariantAcrossShardCounts) {
+  // One barrier hands a single destination tile all three kinds of
+  // inbound work: ghost energy from its neighbors, a roam that stays
+  // inside the tile, and a roam from a tile outside its 8-neighborhood
+  // (which no neighbor-outbox scan would find).
+  CityParams city;
+  city.seed = 5;
+  city.width_m = 10500.0;
+  city.height_m = 10500.0;  // 5 x 5 tiles at the default cutoff.
+  city.num_aps = 64;
+  ShardEngineConfig config;
+  config.trace = true;
+  CityLayout layout = GenerateCity(city, config.medium);
+  ASSERT_EQ(layout.partition.NumTiles(), 25);
+
+  // Destination: a tile with two cells; source: a cell beyond its
+  // neighborhood.
+  int dst = -1, a = -1, b = -1, far = -1;
+  for (int t = 0; t < layout.partition.NumTiles() && b < 0; ++t) {
+    a = -1;
+    for (std::size_t c = 0; c < layout.cells.size(); ++c) {
+      if (layout.cells[c].tile != t) continue;
+      if (a < 0) {
+        a = static_cast<int>(c);
+      } else {
+        b = static_cast<int>(c);
+        dst = t;
+        break;
       }
     }
+  }
+  ASSERT_GE(b, 0);
+  const std::vector<int> near = layout.partition.Neighbors(dst);
+  for (std::size_t c = 0; c < layout.cells.size() && far < 0; ++c) {
+    const int t = layout.cells[c].tile;
+    if (t != dst && std::find(near.begin(), near.end(), t) == near.end()) {
+      far = static_cast<int>(c);
+    }
+  }
+  ASSERT_GE(far, 0);
+
+  const SimTime horizon = PhysicalLookaheadBound();
+  const SimTime at = 10 * horizon + 1000;  // Applied at barrier 11.
+  layout.roams = {
+      RoamPlan{.at = at, .from_cell = a, .to_cell = b, .client_slot = 0,
+               .arrive = layout.cells[static_cast<std::size_t>(b)].clients[0]},
+      RoamPlan{.at = at, .from_cell = far, .to_cell = a, .client_slot = 1,
+               .arrive = layout.cells[static_cast<std::size_t>(a)].clients[1]},
+  };
+
+  const auto foreign_energy = [dst](ShardEngine& engine) {
+    return engine.tile_world(dst)
+        .metrics()
+        ->GetCounter("whitefi.medium.foreign_energy")
+        .value();
+  };
+  std::vector<std::unique_ptr<ShardEngine>> engines;
+  for (int shards : {1, 2, 4, 8}) {
+    config.shards = shards;
+    engines.push_back(std::make_unique<ShardEngine>(city, layout, config));
+    ShardEngine& engine = *engines.back();
+    engine.Run(ToSeconds(10 * horizon));
+    EXPECT_EQ(engine.roams_applied(), 0u);
+    const std::uint64_t ghosts_before = foreign_energy(engine);
+    engine.Run(ToSeconds(horizon));
+    EXPECT_EQ(engine.roams_applied(), 2u);
+    EXPECT_GT(foreign_energy(engine), ghosts_before)
+        << "no ghosts reached tile " << dst << " at the roam barrier";
+    engine.Run(0.3);
+  }
+  EXPECT_GT(engines[0]->CellAppBytes(b), 0u);
+  for (std::size_t i = 1; i < engines.size(); ++i) {
+    ExpectSameScience(*engines[0], *engines[i]);
   }
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <random>
 #include <vector>
@@ -204,6 +205,26 @@ TEST(Simulator, CancellingFiredIdsLeavesStateBounded) {
   // 64 concurrent events fit one 256-slot chunk; 12800 schedules and as
   // many stale cancels must not have grown it.
   EXPECT_EQ(sim.ArenaSlots(), 256u);
+}
+
+TEST(Simulator, RetainedBucketCapacityIsBoundedOverALongRun) {
+  // Timers rearming 70-330 ms ahead live in level-2 buckets (65.5 ms
+  // windows), each touched once per 16.7 s lap.  Were every emptied
+  // bucket to keep its buffer, capacity would grow with every new window
+  // the run reaches (~3.8k entries at 2 s, ~30k at 40 s); recycling the
+  // buffers keeps it proportional to the pending events (~1.1k, ~1.5k).
+  Simulator sim;
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<SimTime> delay(70000, 330000);
+  std::function<void()> rearm = [&] { sim.ScheduleAfter(delay(rng), rearm); };
+  for (int i = 0; i < 200; ++i) sim.ScheduleAfter(delay(rng), rearm);
+  sim.Run(2 * kTicksPerSec);
+  const std::size_t early = sim.BucketCapacity();
+  sim.Run(40 * kTicksPerSec);  // More than two full level-2 laps.
+  ASSERT_EQ(sim.NumPending(), 200u);
+  EXPECT_LE(sim.BucketCapacity(), 2 * early)
+      << "retained capacity grew from " << early;
+  EXPECT_LE(sim.BucketCapacity(), 16 * sim.NumPending());
 }
 
 TEST(Simulator, StaleIdAfterSlotReuseIsNoOp) {

@@ -255,6 +255,37 @@ TEST_F(MediumTest, FrameTapSeesEveryTransmission) {
   EXPECT_EQ(tapped_channel, ch);
 }
 
+TEST_F(MediumTest, InterferenceHistoryCoversTheLongestFrame) {
+  // A 2 s frame is jammed early on; the jammer ends 1.8 s before the frame
+  // does, and an unrelated transmission ends (running the history GC) in
+  // between.  The GC horizon is the longest airtime started, so the
+  // jammer's record survives until the frame's SINR is resolved.
+  const Channel ch{10, ChannelWidth::kW5};
+  const Channel elsewhere{20, ChannelWidth::kW5};
+  const auto run = [&](bool jam) {
+    Simulator sim;
+    Medium medium(sim, MediumParams{});
+    FakeRadio tx(1, {0, 0}, ch), rx(2, {100, 0}, ch);
+    FakeRadio jammer(3, {100, 50}, ch), bystander(4, {0, 5000}, elsewhere);
+    for (FakeRadio* r : {&tx, &rx, &jammer, &bystander}) medium.Register(r);
+    medium.Transmit(&tx, ch, DataFrame(1, 2), 16.0, 2 * kTicksPerSec, [] {});
+    if (jam) {
+      sim.Schedule(100, [&] {
+        medium.Transmit(&jammer, ch, DataFrame(3, 9), 16.0, 100, [] {});
+      });
+    }
+    sim.Schedule(1'500'000, [&] {
+      medium.Transmit(&bystander, elsewhere, DataFrame(4, 9), 16.0, 100,
+                      [] {});
+    });
+    sim.Run(3 * kTicksPerSec);
+    return std::count_if(rx.delivered.begin(), rx.delivered.end(),
+                         [](const Frame& f) { return f.src == 1; });
+  };
+  EXPECT_EQ(run(false), 1);
+  EXPECT_EQ(run(true), 0);
+}
+
 TEST_F(MediumTest, UnregisterStopsDelivery) {
   const Channel ch{3, ChannelWidth::kW5};
   FakeRadio tx(1, {0, 0}, ch), rx(2, {10, 0}, ch);
