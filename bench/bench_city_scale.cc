@@ -12,8 +12,11 @@
 //
 // Flags: --shards N (single count), --sweep 1,2,4,8 (several counts in
 // one process; the driver additionally asserts the summaries match
-// byte-for-byte), --aps N, --clients-per-ap N, --seconds S, --seed S,
-// --roams N, --mics N, --audit, --json PATH.
+// byte-for-byte), --reps K (run each count K times, round-robin over the
+// counts, and report the median wall, so one stalled run cannot decide a
+// scaling ratio; default 1),
+// --aps N, --clients-per-ap N, --seconds S, --seed S, --roams N,
+// --mics N, --audit, --json PATH.
 //
 // --json PATH writes a google-benchmark-compatible report with two kinds
 // of entries:
@@ -23,13 +26,15 @@
 //                           BENCH_city_scale.json at --threshold 0.01,
 //                           so a behavior change in the sharded engine
 //                           is a red build, not a silent drift.
-//   city/shards_N/wall      wall-clock events/s at each swept count —
+//   city/shards_N/wall      wall-clock events/s at each swept count
+//                           (median wall of the --reps runs) —
 //                           machine-dependent, absent from the committed
 //                           baseline (compare_bench reports them as new
 //                           and does not gate them); CI instead pins the
 //                           scaling floor intra-report via --speedup
 //                           city/shards_1/wall:city/shards_4/wall:R,
 //                           which cancels runner speed out.
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -139,6 +144,7 @@ int Main(int argc, char** argv) {
   shard::CityParams city;
   city.seed = 1;
   double seconds = 3.0;
+  int reps = 1;
   bool audit = false;
   std::string json_path;
   std::vector<int> counts;
@@ -164,6 +170,7 @@ int Main(int argc, char** argv) {
         }
         if (counts.empty()) throw std::invalid_argument("--sweep: empty list");
       }
+      else if (flag == "--reps") reps = std::stoi(next());
       else if (flag == "--aps") city.num_aps = std::stoi(next());
       else if (flag == "--clients-per-ap") {
         city.clients_per_ap = std::stoi(next());
@@ -176,8 +183,9 @@ int Main(int argc, char** argv) {
       else if (flag == "--json") json_path = next();
       else {
         std::cerr << "usage: bench_city_scale [--shards N | --sweep 1,2,4,8] "
-                     "[--aps N] [--clients-per-ap N] [--roams N] [--mics N] "
-                     "[--seconds S] [--seed S] [--audit] [--json PATH]\n";
+                     "[--reps K] [--aps N] [--clients-per-ap N] [--roams N] "
+                     "[--mics N] [--seconds S] [--seed S] [--audit] "
+                     "[--json PATH]\n";
         return 2;
       }
     }
@@ -185,6 +193,7 @@ int Main(int argc, char** argv) {
     for (int c : counts) {
       if (c < 1) throw std::invalid_argument("shard count must be >= 1");
     }
+    if (reps < 1) throw std::invalid_argument("--reps must be >= 1");
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 2;
@@ -192,37 +201,45 @@ int Main(int argc, char** argv) {
 
   std::cerr << "city: " << city.num_aps << " APs x " << city.clients_per_ap
             << " clients, " << seconds << " s simulated, seed " << city.seed
-            << (audit ? ", audited" : "") << "\n";
+            << (audit ? ", audited" : "")
+            << (reps > 1 ? ", median wall of " + std::to_string(reps) + " runs"
+                         : "")
+            << "\n";
 
-  std::vector<RunOutput> runs;
-  for (int c : counts) {
-    runs.push_back(RunOnce(city, c, audit, seconds));
-    const RunOutput& r = runs.back();
-    std::cerr << "shards " << c << ": wall "
-              << FormatDouble(r.point.wall_s, 3) << " s, "
-              << FormatDouble(
-                     static_cast<double>(r.point.events) / r.point.wall_s, 0)
-              << " events/s\n";
-  }
-
-  // Every count must produce the same science, byte for byte — the core
-  // determinism claim of the sharded engine, asserted here on every run,
-  // not only in CI.
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    if (runs[i].summary != runs[0].summary) {
-      std::cerr << "FAIL: summary at shards " << counts[i]
-                << " differs from shards " << counts[0] << "\n";
-      return 1;
-    }
-  }
-  if (audit) {
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      if (!runs[i].audit_ok) {
+  // Repetitions go round-robin over the counts, so a stretch of slow host
+  // time lands on every count's runs alike instead of on one count's.
+  std::vector<RunOutput> runs;  // Each count's first run.
+  std::vector<std::vector<double>> walls(counts.size());
+  for (int rep = 0; rep < reps; ++rep) {
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      RunOutput r = RunOnce(city, counts[i], audit, seconds);
+      // Every count and every repetition must produce the same science,
+      // byte for byte — the core determinism claim of the sharded engine,
+      // asserted here on every run, not only in CI.
+      if (!runs.empty() && r.summary != runs[0].summary) {
+        std::cerr << "FAIL: summary at shards " << counts[i]
+                  << " differs from shards " << counts[0] << "\n";
+        return 1;
+      }
+      if (!r.audit_ok) {
         std::cerr << "FAIL: invariant violation at shards " << counts[i]
                   << "\n";
         return 1;
       }
+      walls[i].push_back(r.point.wall_s);
+      if (rep == 0) runs.push_back(std::move(r));
     }
+  }
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    std::vector<double>& w = walls[i];
+    std::sort(w.begin(), w.end());
+    const std::size_t mid = w.size() / 2;
+    SweepPoint& p = runs[i].point;
+    p.wall_s = w.size() % 2 == 1 ? w[mid] : (w[mid - 1] + w[mid]) / 2.0;
+    std::cerr << "shards " << counts[i] << ": wall "
+              << FormatDouble(p.wall_s, 3) << " s, "
+              << FormatDouble(static_cast<double>(p.events) / p.wall_s, 0)
+              << " events/s\n";
   }
 
   std::cout << runs[0].summary;

@@ -30,7 +30,9 @@
 // unknown-key scenario file under --strict).  Scripts rely on the 1-vs-2
 // distinction to tell a broken scenario file from a simulation that failed.
 //
-// Observability flags (work in both modes):
+// Observability flags (single-cell scenarios only: a [city] scenario on
+// the sharded engine rejects each of them, and --trace, as a
+// configuration error, exit 2):
 //   --metrics           print the metrics snapshot (counters + histograms)
 //   --metrics-csv FILE  write the snapshot as CSV
 //   --metrics-json FILE write the snapshot as JSON
@@ -52,6 +54,7 @@
 #include <iostream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/whitefi.h"
@@ -361,10 +364,34 @@ void ReportUnknownKeys(const Options& options, const ConfigFile& config) {
   }
 }
 
+/// The sharded engine has no metrics, trace, timeline or profiler output
+/// yet.  A city run names the first such flag given and exits 2 instead
+/// of ignoring it silently.
+void RejectFlagsCityModeIgnores(const Options& options) {
+  const std::pair<bool, const char*> flags[] = {
+      {options.metrics, "--metrics"},
+      {!options.metrics_csv.empty(), "--metrics-csv"},
+      {!options.metrics_json.empty(), "--metrics-json"},
+      {options.trace, "--trace"},
+      {!options.trace_json.empty(), "--trace-json"},
+      {!options.trace_jsonl.empty(), "--trace-jsonl"},
+      {!options.trace_only.empty(), "--trace-only"},
+      {!options.timeline_csv.empty(), "--timeline-csv"},
+      {options.profile, "--profile"},
+  };
+  for (const auto& [given, flag] : flags) {
+    if (given) {
+      throw std::invalid_argument(std::string(flag) +
+                                  " is not supported for [city] scenarios");
+    }
+  }
+}
+
 /// City-scale config-file mode ([city] section): run the sharded
 /// federation and print its deterministic summary.  The summary is
 /// byte-identical for every --shards value — CI diffs it across counts.
 int RunCityFromConfigFile(const Options& options, const ConfigFile& config) {
+  RejectFlagsCityModeIgnores(options);
   bench::CityScenario scenario = bench::LoadCityScenario(config);
   scenario.engine.shards = options.shards;
   if (options.audit) scenario.engine.audit = true;

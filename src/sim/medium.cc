@@ -100,109 +100,143 @@ void Medium::StartTransmission(RadioPort* tx, const Channel& channel,
       obs_.trace->CountSkipped(TraceEventKind::kFrameTx);
     }
   }
-  ActiveTx record{id,      tx,  channel, frame,
-                  tx_power, sim_.Now(), sim_.Now() + duration,
-                  {}, foreign};
+  ActiveTx* const record = AllocRecord();
+  record->id = id;
+  record->tx = tx;
+  record->channel = channel;
+  record->frame = frame;
+  record->power = tx_power;
+  record->start = sim_.Now();
+  record->end = sim_.Now() + duration;
+  record->foreign = foreign;
   // Record mutual interference with every time-overlapping transmission on
   // overlapping spectrum: only transmissions indexed on the channels this
   // frame spans can overlap it.  Each is visited once (at the first spanned
-  // channel inside our range); the collected ids are sorted so the
-  // interference sums accumulate in the same ascending-id order as the
-  // full-scan implementation this replaces.  Only local transmissions keep
-  // a list: a ghost's is never read (ResolveReceptions skips ghosts).
+  // channel inside our range); the collected records are sorted by id so
+  // the interference sums accumulate in the same ascending-id order as the
+  // full-scan implementation this replaces.  Appending this record to the
+  // others' lists keeps them sorted: its id is the largest yet.  Only local
+  // transmissions keep a list: a ghost's is never read (ResolveReceptions
+  // skips ghosts).
   const auto lo = static_cast<std::size_t>(channel.Low());
   const auto hi = static_cast<std::size_t>(channel.High());
   for (std::size_t c = lo; c <= hi; ++c) {
     for (ActiveTx* other : channel_txs_[c]) {
       const auto other_lo = static_cast<std::size_t>(other->channel.Low());
       if (std::max(other_lo, lo) != c) continue;  // Seen at an earlier c.
-      if (!other->foreign) other->interferers.push_back(id);
-      if (!foreign) record.interferers.push_back(other->id);
+      if (!other->foreign) other->interferers.push_back(record);
+      if (!foreign) record->interferers.push_back(other);
     }
   }
-  std::sort(record.interferers.begin(), record.interferers.end());
+  std::sort(record->interferers.begin(), record->interferers.end(),
+            [](const ActiveTx* a, const ActiveTx* b) { return a->id < b->id; });
   longest_airtime_ = std::max(longest_airtime_, duration);
   for (std::size_t c = lo; c <= hi; ++c) {
     AccrueChannel(c);
     ++active_count_[c];
     books_[c].per_node[tx->NodeId()] += ToUs(duration);
+    channel_txs_[c].push_back(record);
   }
-  ActiveTx& stored = active_.emplace(id, std::move(record)).first->second;
-  for (std::size_t c = lo; c <= hi; ++c) channel_txs_[c].push_back(&stored);
-  ++radio_tx_count_[tx];
+  ++num_active_;
   // Audit seam: the transmission is committed (indexed + booked) from this
   // instant; the auditor sees exactly what the airtime books will accrue.
   if (obs_.auditor != nullptr) {
     obs_.auditor->OnTransmitStart(sim_.Now(), *tx, channel, duration);
   }
-  sim_.Schedule(sim_.Now() + duration,
-                [this, id, cb = std::move(on_end)]() mutable {
-                  EndTransmission(id, std::move(cb));
+  sim_.Schedule(record->end,
+                [this, record, cb = std::move(on_end)]() mutable {
+                  EndTransmission(record, std::move(cb));
                 });
   NotifyOverlapping(channel);
 }
 
-void Medium::EndTransmission(std::uint64_t tx_id,
-                             std::function<void()> on_end) {
-  auto it = active_.find(tx_id);
-  if (it == active_.end()) return;
-  ActiveTx* const stored = &it->second;
-  for (auto c = static_cast<std::size_t>(stored->channel.Low());
-       c <= static_cast<std::size_t>(stored->channel.High()); ++c) {
+void Medium::EndTransmission(ActiveTx* tx, std::function<void()> on_end) {
+  for (auto c = static_cast<std::size_t>(tx->channel.Low());
+       c <= static_cast<std::size_t>(tx->channel.High()); ++c) {
     AccrueChannel(c);
     --active_count_[c];
     auto& list = channel_txs_[c];
-    auto pos = std::find(list.begin(), list.end(), stored);
+    auto pos = std::find(list.begin(), list.end(), tx);
     assert(pos != list.end());
     *pos = list.back();
     list.pop_back();
   }
-  if (auto rt = radio_tx_count_.find(stored->tx); --rt->second == 0) {
-    radio_tx_count_.erase(rt);
-  }
-  ActiveTx tx = std::move(it->second);
-  active_.erase(it);
-  const Channel channel = tx.channel;
-  const Frame frame = tx.frame;
-  RadioPort* const tx_radio = tx.tx;
-  const Dbm tx_power = tx.power;
-  const SimTime tx_start = tx.start;
-  const SimTime tx_end = tx.end;
-  const bool foreign = tx.foreign;
-  recently_ended_.emplace(tx_id, std::move(tx));
-  ended_order_.push_back(tx_id);
-  ResolveReceptions(recently_ended_.at(tx_id));
-  if (active_.empty()) {
-    recently_ended_.clear();
-    ended_order_.clear();
+  --num_active_;
+  tx->next = nullptr;
+  if (ended_tail_ != nullptr) {
+    ended_tail_->next = tx;
   } else {
-    // Bounded GC for continuously-busy workloads: an entry can only be
-    // referenced by an active transmission that overlapped it in time.
-    // Such a transmission started no earlier than now - longest_airtime_
-    // and overlapped the entry, so the entry ended at or after that
-    // instant; anything that ended before it is dead.  ended_order_ is
-    // end-time-ordered, so only the expired prefix is examined — one
-    // comparison when nothing is old enough.
-    const SimTime horizon = sim_.Now() - longest_airtime_;
-    while (!ended_order_.empty()) {
-      const auto it = recently_ended_.find(ended_order_.front());
-      if (it == recently_ended_.end()) {  // Dropped by a bulk clear.
-        ended_order_.pop_front();
-        continue;
-      }
-      if (it->second.end >= horizon) break;
-      recently_ended_.erase(it);
-      ended_order_.pop_front();
-    }
+    ended_head_ = tx;
   }
+  ended_tail_ = tx;
+  ResolveReceptions(*tx);
+  // The record stays on the ended queue until RecycleEnded below, so the
+  // callback, the notifications and the taps read it in place: nothing
+  // they can trigger (a new Transmit included) frees a record.
   if (on_end) on_end();
-  NotifyOverlapping(channel);
-  for (const FrameTap& tap : taps_) tap(channel, frame, *tx_radio);
-  if (!foreign) {
-    const EnergyTapInfo info{channel, frame, *tx_radio, tx_power, tx_start,
-                             tx_end};
+  NotifyOverlapping(tx->channel);
+  for (const FrameTap& tap : taps_) tap(tx->channel, tx->frame, *tx->tx);
+  if (!tx->foreign) {
+    const EnergyTapInfo info{tx->channel, tx->frame, *tx->tx,
+                             tx->power,   tx->start, tx->end};
     for (const EnergyTap& tap : energy_taps_) tap(info);
   }
+  RecycleEnded();
+}
+
+Medium::ActiveTx* Medium::AllocRecord() {
+  ActiveTx* record = free_;
+  if (record != nullptr) {
+    free_ = record->next;
+    record->interferers.clear();
+  } else {
+    record = &slab_.emplace_back();
+  }
+  record->next = nullptr;
+  return record;
+}
+
+void Medium::RecycleEnded() {
+  if (num_active_ == 0) {
+    // Nothing is on the air, so no interferer list will be read again:
+    // the whole ended queue goes to the free list at once.
+    if (ended_head_ != nullptr) {
+      ended_tail_->next = free_;
+      free_ = ended_head_;
+      ended_head_ = ended_tail_ = nullptr;
+    }
+    return;
+  }
+  // Horizon argument: an active transmission A lists an ended record E
+  // only if E was still on the air when A started, so E.end >= A.start.
+  // A started no earlier than now - longest_airtime_ (it has not ended
+  // yet), so E.end >= that horizon.  A record that ended before the
+  // horizon is therefore listed by no active transmission and can be
+  // reused.  (Ended records' own lists are dead: they were read once, when
+  // the record was resolved.)  The queue is end-time-ordered, so only its
+  // expired head is examined: one comparison when nothing is old enough.
+  const SimTime horizon = sim_.Now() - longest_airtime_;
+  while (ended_head_ != nullptr && ended_head_->end < horizon) {
+    ActiveTx* const expired = ended_head_;
+    ended_head_ = expired->next;
+    if (ended_head_ == nullptr) ended_tail_ = nullptr;
+    assert(!ListedByActive(*expired));
+    expired->next = free_;
+    free_ = expired;
+  }
+}
+
+bool Medium::ListedByActive(const ActiveTx& rec) const {
+  // A transmission can only list `rec` if it overlaps rec's spectrum, so
+  // it is indexed on one of rec's channels.
+  for (auto c = static_cast<std::size_t>(rec.channel.Low());
+       c <= static_cast<std::size_t>(rec.channel.High()); ++c) {
+    for (const ActiveTx* active : channel_txs_[c]) {
+      const auto& list = active->interferers;
+      if (std::find(list.begin(), list.end(), &rec) != list.end()) return true;
+    }
+  }
+  return false;
 }
 
 void Medium::AddFrameTap(FrameTap tap) { taps_.push_back(std::move(tap)); }
@@ -231,20 +265,10 @@ void Medium::SetObservability(const Observability& obs) {
   }
 }
 
-const Medium::ActiveTx* Medium::FindTx(std::uint64_t id) const {
-  if (auto it = active_.find(id); it != active_.end()) return &it->second;
-  if (auto jt = recently_ended_.find(id); jt != recently_ended_.end()) {
-    return &jt->second;
-  }
-  return nullptr;
-}
-
 double Medium::InterferencePowerMw(const ActiveTx& tx,
                                    const RadioPort& rx) const {
   double total_mw = 0.0;
-  for (std::uint64_t interferer_id : tx.interferers) {
-    const ActiveTx* interferer = FindTx(interferer_id);
-    if (interferer == nullptr) continue;
+  for (const ActiveTx* interferer : tx.interferers) {
     const Dbm p = prop_.ReceivedPower(interferer->power,
                                       interferer->tx->Location(),
                                       rx.Location());
@@ -269,15 +293,13 @@ void Medium::ResolveReceptions(const ActiveTx& tx) {
   // the interferer list, so collect those node ids — lazily, on the first
   // radio that is actually tuned to receive this frame, so dense storms
   // with no matching listener skip the interferer walk entirely.
-  std::vector<int> talked_during;
   bool talked_during_built = false;
   const auto BuildTalkedDuring = [&] {
     if (talked_during_built) return;
     talked_during_built = true;
-    for (std::uint64_t interferer_id : tx.interferers) {
-      if (const ActiveTx* interferer = FindTx(interferer_id)) {
-        talked_during.push_back(interferer->tx->NodeId());
-      }
+    talked_during_.clear();
+    for (const ActiveTx* interferer : tx.interferers) {
+      talked_during_.push_back(interferer->tx->NodeId());
     }
   };
 
@@ -292,8 +314,8 @@ void Medium::ResolveReceptions(const ActiveTx& tx) {
     // dropped (paper Section 5.4).
     if (!(rx->TunedChannel() == tx.channel)) continue;
     BuildTalkedDuring();
-    if (std::find(talked_during.begin(), talked_during.end(), rx->NodeId()) !=
-        talked_during.end()) {
+    if (std::find(talked_during_.begin(), talked_during_.end(),
+                  rx->NodeId()) != talked_during_.end()) {
       continue;
     }
     const Dbm rx_power =
@@ -409,7 +431,14 @@ bool Medium::CarrierSensed(const RadioPort& radio,
 }
 
 bool Medium::Transmitting(const RadioPort& radio) const {
-  return radio_tx_count_.count(&radio) > 0;
+  // Only tests ask, so a scan of the active records beats a per-radio
+  // counter kept on every transmission.
+  for (const auto& list : channel_txs_) {
+    for (const ActiveTx* tx : list) {
+      if (tx->tx == &radio) return true;
+    }
+  }
+  return false;
 }
 
 AirtimeBooks Medium::SnapshotBooks() {

@@ -22,6 +22,9 @@
 // (one timestamp each) instead of walking all 30 channels on every
 // transmit/end.  Sim time is integer microseconds and `ToUs` is exact, so
 // the lazily-partitioned busy sums are bit-equal to the eager walk.
+// Transmission records come from a slab with a free list and interferer
+// lists point straight at them, so a warm transmit/end cycle allocates
+// nothing.
 #pragma once
 
 #include <array>
@@ -30,7 +33,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/fault.h"
@@ -216,19 +218,29 @@ class Medium {
   const PropagationModel& propagation() const { return prop_; }
 
  private:
+  /// One transmission.  Records live in `slab_` and never move; each is
+  /// in exactly one of three states: active (indexed in `channel_txs_`),
+  /// ended (on the ended queue, still readable as an interferer) or free
+  /// (on the free list).  A reused record keeps its `interferers` capacity,
+  /// so the steady-state transmit/end cycle allocates nothing.
   struct ActiveTx {
-    std::uint64_t id;
-    RadioPort* tx;
-    Channel channel;
+    std::uint64_t id = 0;
+    RadioPort* tx = nullptr;
+    Channel channel{0, ChannelWidth::kW5};
     Frame frame;
-    Dbm power;
-    SimTime start;
-    SimTime end;
-    /// Transmissions that overlapped this one in time AND spectrum.
-    /// Always empty for ghosts, whose receptions are never resolved here.
-    std::vector<std::uint64_t> interferers;
+    Dbm power = 0.0;
+    SimTime start = 0;
+    SimTime end = 0;
+    /// Transmissions that overlapped this one in time AND spectrum, in
+    /// ascending id order.  Always empty for ghosts, whose receptions are
+    /// never resolved here.  Entries point into the slab; the history
+    /// horizon keeps every pointee alive until this record is resolved
+    /// (DESIGN.md §10), after which the list is never read again.
+    std::vector<ActiveTx*> interferers;
     /// Cross-shard ghost energy: sensed and booked, never delivered.
     bool foreign = false;
+    /// Link on the ended queue or the free list.
+    ActiveTx* next = nullptr;
   };
 
   /// Medium-side stand-in for a transmitter that lives in another shard:
@@ -252,13 +264,19 @@ class Medium {
   void StartTransmission(RadioPort* tx, const Channel& channel,
                          const Frame& frame, Dbm tx_power, SimTime duration,
                          bool foreign, std::function<void()> on_end);
-  void EndTransmission(std::uint64_t tx_id, std::function<void()> on_end);
+  void EndTransmission(ActiveTx* tx, std::function<void()> on_end);
   void ResolveReceptions(const ActiveTx& tx);
+  /// Takes a record off the free list, or grows the slab.
+  ActiveTx* AllocRecord();
+  /// Frees the ended records no active transmission can still list.
+  void RecycleEnded();
+  /// True iff an active transmission lists `rec` as an interferer (the
+  /// debug-build check of the horizon argument in RecycleEnded).
+  bool ListedByActive(const ActiveTx& rec) const;
   void NotifyOverlapping(const Channel& channel);
   /// Brings one UHF channel's busy book current (lazy accrual).
   void AccrueChannel(std::size_t c);
   double InterferencePowerMw(const ActiveTx& tx, const RadioPort& rx) const;
-  const ActiveTx* FindTx(std::uint64_t id) const;
 
   Simulator& sim_;
   MediumParams params_;
@@ -268,29 +286,31 @@ class Medium {
   std::map<int, std::unique_ptr<ForeignSource>> foreign_sources_;
   std::vector<FrameTap> taps_;
   std::vector<EnergyTap> energy_taps_;
-  std::unordered_map<std::uint64_t, ActiveTx> active_;
-  /// Finished transmissions kept until no active transmission references
-  /// them as interferers.
-  std::map<std::uint64_t, ActiveTx> recently_ended_;
-  /// Ids of recently_ended_ entries in insertion order.  Insertion happens
-  /// at each transmission's end time, so this is end-time order and GC only
-  /// ever has to examine the expired prefix instead of the whole map.
-  std::deque<std::uint64_t> ended_order_;
+  /// Record storage.  Only ever grows (emplace_back keeps every element's
+  /// address), to the peak number of active plus recently ended records.
+  std::deque<ActiveTx> slab_;
+  /// Free records, LIFO through `next`.
+  ActiveTx* free_ = nullptr;
+  /// Ended records still within the history horizon, FIFO through `next`.
+  /// Records join at their end time, so the queue is end-time-ordered and
+  /// recycling only ever examines its expired head.
+  ActiveTx* ended_head_ = nullptr;
+  ActiveTx* ended_tail_ = nullptr;
+  std::size_t num_active_ = 0;
   /// Longest duration of any transmission started so far: the exact
-  /// history horizon for recently_ended_.
+  /// history horizon for ended records.
   SimTime longest_airtime_ = 0;
   std::uint64_t next_tx_id_ = 1;
+  /// ResolveReceptions' half-duplex scratch (node ids that transmitted
+  /// during the frame), reused so resolving allocates nothing.
+  std::vector<int> talked_during_;
 
   /// Per-UHF-channel index of active transmissions: a transmission spanning
   /// [Low, High] appears in every spanned channel's list.  Queries over a
   /// channel span visit each transmission exactly once by only processing
-  /// it at the first spanned channel inside the query range.  Pointees are
-  /// unordered_map nodes, so they are stable until erased.
+  /// it at the first spanned channel inside the query range.
   std::array<std::vector<ActiveTx*>, static_cast<std::size_t>(kNumUhfChannels)>
       channel_txs_;
-  /// Number of active transmissions per transmitting radio (O(1)
-  /// Transmitting checks; erased when the count returns to zero).
-  std::unordered_map<const RadioPort*, int> radio_tx_count_;
 
   // Airtime accounting.
   AirtimeBooks books_;

@@ -166,6 +166,25 @@ expect_exit 0 "valid city config under audit" \
   "$CLI" --config "$TMP/city.conf" --strict --shards 2 --audit
 grep -q "shards: 4" "$TMP/out" && fail "shard count must not reach stdout"
 
+# The sharded engine has no metrics/trace/timeline/profile output yet:
+# each such flag is a configuration error in city mode, naming the flag,
+# never silently ignored.
+for flag in --metrics --trace --profile; do
+  expect_exit 2 "$flag in city mode" "$CLI" --config "$TMP/city.conf" "$flag"
+  grep -q -- "$flag" "$TMP/err" || fail "city-mode error must name $flag"
+done
+for flag in --metrics-csv --metrics-json --trace-json --trace-jsonl \
+    --timeline-csv; do
+  expect_exit 2 "$flag in city mode" \
+    "$CLI" --config "$TMP/city.conf" "$flag" "$TMP/city_out"
+  grep -q -- "$flag" "$TMP/err" || fail "city-mode error must name $flag"
+  [ -e "$TMP/city_out" ] && fail "$flag in city mode wrote a file"
+done
+expect_exit 2 "--trace-only in city mode" \
+  "$CLI" --config "$TMP/city.conf" --trace-only frame_tx
+grep -q -- "--trace-only" "$TMP/err" ||
+  fail "city-mode error must name --trace-only"
+
 cat >"$TMP/city_typo.conf" <<EOF
 seed = 5
 seconds = 1

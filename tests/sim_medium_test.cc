@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <random>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sim/medium.h"
 #include "util/units.h"
 
@@ -314,29 +316,31 @@ TEST_F(MediumTest, FarAwayReceiverBelowSnrGetsNothing) {
 
 /// One transmission of a randomized storm, as the test's ground truth.
 struct StormRecord {
-  SimTime start;
-  SimTime end;
-  Channel channel;
-  int node;
-  Dbm power;
+  SimTime start = 0;
+  SimTime end = 0;
+  Channel channel{0, ChannelWidth::kW5};
+  int node = 0;  ///< Transmitter id; ghost sources are 100 + center.
+  Position pos;
+  Dbm power = 0.0;
+  bool ghost = false;
+  /// Storm ids (= transmit order) of every transmission that was on the
+  /// air at the same time on overlapping spectrum.  Never forgotten: this
+  /// is the reference that recycles no records.
+  std::vector<std::size_t> overlaps;
 };
 
 /// Exhaustive-reference carrier sense: walk EVERY storm transmission
 /// active at `now`, applying the same physics as Medium::CarrierSensed.
 /// Pins the per-channel index against the full scan it replaced.
 bool ReferenceCarrierSense(const std::vector<StormRecord>& records,
-                           const std::vector<FakeRadio>& radios, SimTime now,
-                           const FakeRadio& listener, const Channel& channel,
-                           const MediumParams& params,
+                           SimTime now, const FakeRadio& listener,
+                           const Channel& channel, const MediumParams& params,
                            const PropagationModel& prop) {
   for (const StormRecord& r : records) {
     if (!(r.start <= now && now < r.end)) continue;
     if (!r.channel.Overlaps(channel)) continue;
     if (r.node == listener.NodeId()) continue;
-    const Dbm p =
-        prop.ReceivedPower(r.power, radios[static_cast<std::size_t>(r.node)]
-                                        .Location(),
-                           listener.Location());
+    const Dbm p = prop.ReceivedPower(r.power, r.pos, listener.Location());
     if (r.channel == channel) {
       if (p >= params.same_channel_cs_dbm) return true;
     } else {
@@ -347,47 +351,147 @@ bool ReferenceCarrierSense(const std::vector<StormRecord>& records,
   return false;
 }
 
+/// Reference SINR decision for local transmission `tx` at `rx`, from the
+/// complete overlap list, summing interference in ascending id order as
+/// the medium does.  Returns false when `rx` is not a candidate receiver
+/// (not tuned to the frame, or it transmitted during it).
+bool ReferenceReception(const std::vector<StormRecord>& records,
+                        const StormRecord& tx, const FakeRadio& rx,
+                        const MediumParams& params,
+                        const PropagationModel& prop, bool* decoded) {
+  if (rx.NodeId() == tx.node || !(rx.TunedChannel() == tx.channel)) {
+    return false;
+  }
+  for (std::size_t other : tx.overlaps) {
+    if (records[other].node == rx.NodeId()) return false;  // Half-duplex.
+  }
+  double interference_mw = 0.0;
+  for (std::size_t other : tx.overlaps) {
+    const StormRecord& i = records[other];
+    const double fraction = InBandPowerFraction(i.channel, rx.TunedChannel());
+    if (fraction <= 0.0) continue;
+    interference_mw +=
+        DbmToMilliwatt(prop.ReceivedPower(i.power, i.pos, rx.Location())) *
+        fraction;
+  }
+  const double signal_mw =
+      DbmToMilliwatt(prop.ReceivedPower(tx.power, tx.pos, rx.Location()));
+  const double noise_mw =
+      DbmToMilliwatt(NoiseFloorDbm(WidthMHz(tx.channel.width)));
+  *decoded = signal_mw / (noise_mw + interference_mw) >=
+             DbToLinear(params.decode_snr_db);
+  return true;
+}
+
 TEST_F(MediumTest, RandomStormBooksMatchIntervalUnion) {
-  // Randomized dense-overlap storm: the per-channel transmission index and
-  // lazy per-channel accrual must produce airtime books EXACTLY equal (the
-  // sums involve only integer-valued doubles) to the interval unions the
-  // test computes from first principles.
-  std::vector<FakeRadio> radios;
-  radios.reserve(static_cast<std::size_t>(kNumUhfChannels));
+  // Randomized dense-overlap storm of local frames, ghosts and follow-up
+  // frames sent from completion callbacks, in three bursts separated by
+  // idle gaps (where the medium frees every ended record at once).  The
+  // per-channel transmission index, the lazy per-channel accrual and the
+  // recycled transmission records must produce airtime books EXACTLY
+  // equal (the sums involve only integer-valued doubles) to the interval
+  // unions computed from first principles, and deliveries and drops equal
+  // to a reference that keeps every transmission forever.  Starts on a
+  // 200-tick grid and two durations (200 and 400 ticks) make ties common:
+  // several longest-airtime frames start on the tick other frames end,
+  // and end together, with follow-ups sent in between.  That is the exact
+  // boundary of the history horizon; freeing a record one tick early
+  // changes deliveries here.
+  std::vector<FakeRadio> radios;  // Indexed by node id.
+  radios.reserve(2 * static_cast<std::size_t>(kNumUhfChannels));
   for (UhfIndex c = 0; c < kNumUhfChannels; ++c) {
-    radios.emplace_back(c, Position{40.0 * c, 0.0},
+    radios.emplace_back(c, Position{150.0 * c, 0.0},
                         Channel{c, ChannelWidth::kW5});
   }
+  // Listener c (node 30 + c) is tuned to a width that varies with c, so
+  // frames of every width find receivers; it sends the follow-ups.
+  for (UhfIndex c = 0; c < kNumUhfChannels; ++c) {
+    Channel tuned{c, static_cast<ChannelWidth>(c % 3)};
+    if (!tuned.IsValid()) tuned.width = ChannelWidth::kW5;
+    radios.emplace_back(kNumUhfChannels + c, Position{150.0 * c + 20.0, 25.0},
+                        tuned);
+  }
   for (FakeRadio& r : radios) medium_.Register(&r);
+  MetricsRegistry metrics;
+  Observability obs;
+  obs.metrics = &metrics;
+  medium_.SetObservability(obs);
 
-  std::mt19937 rng(98107);
-  std::vector<StormRecord> records;
-  for (int i = 0; i < 300; ++i) {
+  std::vector<StormRecord> records;  // Transmit order = medium tx id order.
+  std::vector<std::size_t> on_air;
+  std::function<void(StormRecord, SimTime)> launch =
+      [&](StormRecord rec, SimTime follow_up) {
+        const std::size_t id = records.size();
+        for (std::size_t other : on_air) {
+          if (records[other].channel.Overlaps(rec.channel)) {
+            records[other].overlaps.push_back(id);
+            rec.overlaps.push_back(other);
+          }
+        }
+        records.push_back(rec);
+        on_air.push_back(id);
+        Frame frame = DataFrame(rec.node, -1);
+        frame.seq = id;
+        if (rec.ghost) {
+          medium_.InjectForeignEnergy(rec.node, rec.node % 2 == 0, rec.pos,
+                                      rec.channel, frame, rec.power,
+                                      rec.end - rec.start);
+          return;
+        }
+        medium_.Transmit(
+            &radios[static_cast<std::size_t>(rec.node)], rec.channel, frame,
+            rec.power, rec.end - rec.start, [&, id, follow_up] {
+              std::erase(on_air, id);
+              if (follow_up == 0) return;
+              const FakeRadio& listener = radios[static_cast<std::size_t>(
+                  kNumUhfChannels + records[id].channel.center)];
+              StormRecord ack;
+              ack.start = sim_.Now();
+              ack.end = ack.start + follow_up;
+              ack.channel = listener.TunedChannel();
+              ack.node = listener.NodeId();
+              ack.pos = listener.Location();
+              ack.power = records[id].power;
+              launch(ack, 0);
+            });
+      };
+  // Ghosts have no completion callback; the frame tap marks their end.
+  medium_.AddFrameTap([&](const Channel&, const Frame& frame,
+                          const RadioPort&) {
+    if (records[frame.seq].ghost) std::erase(on_air, frame.seq);
+  });
+
+  std::mt19937 rng(3);
+  for (int i = 0; i < 600; ++i) {
     StormRecord rec;
-    // Even starts and durations keep probe times (odd) strictly between
-    // transition events.
-    rec.start = static_cast<SimTime>(rng() % 10000) * 2;
-    rec.end = rec.start + 2 * (1 + static_cast<SimTime>(rng() % 200));
+    // Grid starts and durations (multiples of 200, so even) keep probe
+    // times (odd) strictly between transition events.  Each burst ends by
+    // 5600 ticks past its 8000-tick slot, follow-ups included.
+    rec.start = 8000 * (i % 3) + 200 * static_cast<SimTime>(rng() % 25);
+    rec.end = rec.start + 200 * (1 + static_cast<SimTime>(rng() % 2));
     const auto width = static_cast<ChannelWidth>(rng() % 3);
     const int half = SpanChannels(width) / 2;
-    rec.node = half + static_cast<int>(rng() % (kNumUhfChannels - 2 * half));
-    rec.channel = Channel{rec.node, width};
+    const int center =
+        half + static_cast<int>(rng() % (kNumUhfChannels - 2 * half));
+    rec.channel = Channel{center, width};
     ASSERT_TRUE(rec.channel.IsValid());
-    rec.power = 16.0;
-    records.push_back(rec);
-  }
-  for (const StormRecord& rec : records) {
-    sim_.Schedule(rec.start, [this, &radios, rec] {
-      medium_.Transmit(&radios[static_cast<std::size_t>(rec.node)], rec.channel,
-                       DataFrame(rec.node, -1), rec.power, rec.end - rec.start,
-                       nullptr);
-    });
+    rec.power = 10.0 + static_cast<Dbm>(rng() % 10);
+    rec.ghost = rng() % 4 == 0;
+    rec.node = rec.ghost ? 100 + center : center;
+    rec.pos = rec.ghost ? Position{150.0 * center + 10.0, -30.0}
+                        : radios[static_cast<std::size_t>(center)].Location();
+    SimTime follow_up = 0;
+    if (!rec.ghost && rng() % 4 != 0) {
+      follow_up = 200 * (1 + static_cast<SimTime>(rng() % 2));
+    }
+    sim_.Schedule(rec.start,
+                  [&launch, rec, follow_up] { launch(rec, follow_up); });
   }
 
   // Probes at odd times: carrier sense and Transmitting() must match the
   // exhaustive reference scan, mid-flight.
   int probes_sensed = 0;
-  for (SimTime t = 1001; t < 20000; t += 2000) {
+  for (SimTime t = 1001; t < 24000; t += 2000) {
     sim_.Schedule(t, [this, &radios, &records, t, &probes_sensed] {
       for (UhfIndex c = 0; c < kNumUhfChannels; c += 5) {
         const FakeRadio& listener = radios[static_cast<std::size_t>(c)];
@@ -397,18 +501,21 @@ TEST_F(MediumTest, RandomStormBooksMatchIntervalUnion) {
                       ChannelWidth::kW20}}) {
           const bool sensed = medium_.CarrierSensed(listener, probe);
           EXPECT_EQ(sensed,
-                    ReferenceCarrierSense(records, radios, t, listener, probe,
+                    ReferenceCarrierSense(records, t, listener, probe,
                                           medium_.params(),
                                           medium_.propagation()))
               << "t=" << t << " listener=" << c;
           probes_sensed += sensed ? 1 : 0;
         }
-        bool ref_transmitting = false;
-        for (const StormRecord& r : records) {
-          ref_transmitting |=
-              r.node == c && r.start <= t && t < r.end;
+        for (const int node : {c, kNumUhfChannels + c}) {
+          bool ref_transmitting = false;
+          for (const StormRecord& r : records) {
+            ref_transmitting |= r.node == node && r.start <= t && t < r.end;
+          }
+          const FakeRadio& radio = radios[static_cast<std::size_t>(node)];
+          EXPECT_EQ(medium_.Transmitting(radio), ref_transmitting)
+              << "t=" << t << " node=" << node;
         }
-        EXPECT_EQ(medium_.Transmitting(listener), ref_transmitting);
       }
     });
   }
@@ -456,6 +563,48 @@ TEST_F(MediumTest, RandomStormBooksMatchIntervalUnion) {
     }
     EXPECT_EQ(node_sum, per_node_total);
   }
+
+  // Deliveries and drops against the reference that never recycles.
+  ASSERT_EQ(medium_.NumTransmissions(), records.size());
+  EXPECT_TRUE(on_air.empty());
+  std::vector<std::pair<std::uint64_t, int>> expected, delivered;
+  std::uint64_t expected_drops = 0;
+  int ghosts = 0, follow_ups = 0;
+  for (std::size_t id = 0; id < records.size(); ++id) {
+    StormRecord& tx = records[id];
+    ghosts += tx.ghost ? 1 : 0;
+    follow_ups += tx.node >= kNumUhfChannels && !tx.ghost ? 1 : 0;
+    if (tx.ghost) continue;
+    std::sort(tx.overlaps.begin(), tx.overlaps.end());
+    for (const FakeRadio& rx : radios) {
+      bool decoded = false;
+      if (!ReferenceReception(records, tx, rx, medium_.params(),
+                              medium_.propagation(), &decoded)) {
+        continue;
+      }
+      if (decoded) {
+        expected.emplace_back(id, rx.NodeId());
+      } else {
+        ++expected_drops;
+      }
+    }
+  }
+  for (const FakeRadio& rx : radios) {
+    for (const Frame& frame : rx.delivered) {
+      delivered.emplace_back(frame.seq, rx.NodeId());
+    }
+  }
+  std::sort(delivered.begin(), delivered.end());
+  EXPECT_EQ(delivered, expected);
+  EXPECT_EQ(metrics.GetCounter("whitefi.medium.drop.Data").value(),
+            expected_drops);
+  EXPECT_EQ(metrics.GetCounter("whitefi.medium.rx.Data").value(),
+            expected.size());
+  // The storm exercises every path it is meant to.
+  EXPECT_GT(ghosts, 100);
+  EXPECT_GT(follow_ups, 100);
+  EXPECT_GT(expected.size(), 25u);
+  EXPECT_GT(expected_drops, 50u);
 }
 
 }  // namespace
